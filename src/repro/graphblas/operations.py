@@ -42,11 +42,13 @@ from repro.sparse import spmv as _spmv
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.segreduce import scatter_reduce
 from repro.sparse.semiring_ops import BinaryFn
+from repro.sparse.tricount import destroyed_triangle_edges, twin_positions
 
 __all__ = [
     "mxv",
     "vxm",
     "mxm",
+    "mxm_support_update",
     "eWiseAdd",
     "eWiseMult",
     "apply",
@@ -331,6 +333,55 @@ def mxm(
         masked=mask is not None, out_nvals=result.nvals,
         **_parallel.fanout_fields(),
     ), out=C, mat=A, mat2=B)
+    return C
+
+
+def mxm_support_update(C: Matrix, S: Matrix, prev: CSRMatrix) -> Matrix:
+    """``C<S, replace> = S (+.pair) S'`` for a symmetric ``S``, derived from
+    the previous round's supports instead of recomputed.
+
+    ``prev`` is the previous support matrix: the previous candidate set's
+    edges with non-zero support, valued with that support (the previous
+    round's ``mxm`` output).  ``S`` must be a subset of its pattern.  Every
+    triangle of the previous candidate set lies inside ``prev``, so the
+    support of an edge of ``S`` is its ``prev`` value minus the triangles
+    that the edges of ``prev`` missing from ``S`` destroy, found with one
+    :func:`~repro.sparse.tricount.destroyed_triangle_edges` join.
+
+    The result and the trace equal those of ``mxm(C, S, S, PLUS_PAIR,
+    mask=S, desc=REPLACE_STRUCT)``: the transpose of ``S`` is built and
+    charged as the dot method builds it, and the ``mxm`` event carries the
+    dot method's flops, Σ deg(j) over the entries (i, j) of ``S``, which is
+    derived from structure rather than from the work done here.
+    """
+    s_csr = S.csr
+    if s_csr.nrows != s_csr.ncols or prev.nrows != s_csr.nrows:
+        raise DimensionMismatch("support update wants square, equal shapes")
+    # Positions of S's entries inside prev (both sorted by (row, col)).
+    n = np.int64(prev.ncols)
+    prev_keys = prev.row_ids() * n + prev.indices
+    s_keys = s_csr.row_ids() * n + s_csr.indices
+    kept = np.searchsorted(prev_keys, s_keys)
+    if len(kept) and (kept[-1] >= prev.nvals
+                      or not np.array_equal(prev_keys[kept], s_keys)):
+        raise InvalidValue("S is not a subset of the previous supports")
+    gone = np.ones(prev.nvals, dtype=bool)
+    gone[kept] = False
+    removed = np.flatnonzero(gone & (prev.indices > prev.row_ids()))
+    twin = twin_positions(prev)
+    survivors = destroyed_triangle_edges(prev, removed, twin)
+    lost = np.bincount(survivors, minlength=prev.nvals)
+    support = (prev.values[kept] - lost[kept] - lost[twin[kept]]).astype(
+        C.type.dtype, copy=False)
+    result = CSRMatrix(s_csr.nrows, s_csr.ncols, s_csr.indptr,
+                       s_csr.indices, support).filter_entries(support > 0)
+    bt = S.transposed_csr()
+    flops = int(bt.row_degrees()[s_csr.indices].sum())
+    C.replace_csr(result)
+    C.backend.emit(OpEvent(
+        kind="mxm", items=result.nvals, flops=flops, method="dot",
+        masked=True, out_nvals=result.nvals,
+    ), out=C, mat=S, mat2=S)
     return C
 
 

@@ -14,6 +14,11 @@ paper measures (§V-B "ktruss") — is the work per removal wave:
   proportional to the triangles destroyed, not to the surviving graph — and
   a removal is immediately visible to every other thread (Gauss-Seidel),
   which shortens the cascade (the paper's 1.6x round measurement).
+
+The model charges that per-edge cascade; the wall-clock path runs each wave
+as one batched :func:`~repro.sparse.tricount.destroyed_triangle_edges`
+join, whose ownership rule enumerates triangles exactly as the in-order
+sequential wave does.
 """
 
 from __future__ import annotations
@@ -23,8 +28,12 @@ import numpy as np
 from repro.engine.events import OpEvent
 from repro.galois.graph import Graph
 from repro.galois.loops import DEFAULT_TILE
-from repro.sparse.join import dedup_bounded, join_sorted
-from repro.sparse.tricount import edge_supports, twin_positions
+from repro.sparse.join import dedup_bounded
+from repro.sparse.tricount import (
+    destroyed_triangle_edges,
+    edge_supports,
+    twin_positions,
+)
 
 
 def ktruss(graph: Graph, k: int, max_rounds: int = 100000):
@@ -36,7 +45,6 @@ def ktruss(graph: Graph, k: int, max_rounds: int = 100000):
     rt = graph.runtime
     csr = graph.csr
     needed = k - 2
-    indptr, indices = csr.indptr, csr.indices
     entry_rows = csr.row_ids()
 
     alive = np.ones(csr.nvals, dtype=bool)
@@ -57,46 +65,24 @@ def ktruss(graph: Graph, k: int, max_rounds: int = 100000):
         tile_edges=DEFAULT_TILE,
     )
 
-    # Removal cascade: a worklist of doomed entry positions (both
-    # orientations resolve to the lower position to dedup).
+    # Removal cascade: a worklist of doomed canonical entry positions (the
+    # lower position of each edge's two orientations).
     doomed = np.flatnonzero(alive & (supports < needed))
     doomed = dedup_bounded(np.minimum(doomed, twin[doomed]), csr.nvals)
+    degrees = csr.row_degrees()
     rounds = 0
     while len(doomed) and rounds < max_rounds:
         rounds += 1
         rt.round()
-        wave_work = 0
-        freshly_doomed = []
-        for p in doomed:
-            if not alive[p]:
-                continue
-            # Remove this edge now — immediately visible (Gauss-Seidel), so
-            # a triangle shared by two doomed edges is enumerated exactly
-            # once, by whichever removal runs first.
-            alive[p] = False
-            alive[twin[p]] = False
-            u = int(entry_rows[p])
-            v = int(indices[p])
-            lo_u, hi_u = indptr[u], indptr[u + 1]
-            lo_v, hi_v = indptr[v], indptr[v + 1]
-            row_u = indices[lo_u:hi_u]
-            row_v = indices[lo_v:hi_v]
-            live_u = alive[lo_u:hi_u]
-            # Common live neighbors w: the triangles (u, v, w) destroyed.
-            # One pairwise merge join — the Gauss-Seidel cascade's
-            # immediate-visibility requirement forbids batching pairs.
-            u_idx, v_idx = join_sorted(row_u, row_v)
-            wave_work += len(row_u)
-            live_common = live_u[u_idx] & alive[lo_v + v_idx]
-            if not live_common.any():
-                continue
-            p_uw = lo_u + u_idx[live_common]
-            p_vw = lo_v + v_idx[live_common]
-            for q in np.concatenate([p_uw, p_vw]):
-                supports[q] -= 1
-                supports[twin[q]] -= 1
-                if alive[q] and supports[q] < needed:
-                    freshly_doomed.append(min(int(q), int(twin[q])))
+        # The wave removes its edges in position order with each removal
+        # immediately visible (Gauss-Seidel), so a triangle shared by two
+        # doomed edges is destroyed once, by the lower one; the kernel's
+        # ownership rule reproduces that order in one batched join.
+        survivors = destroyed_triangle_edges(csr, doomed, twin, alive)
+        alive[doomed] = False
+        alive[twin[doomed]] = False
+        # Each removal intersects the full row of its lower endpoint.
+        wave_work = int(degrees[entry_rows[doomed]].sum())
         # One asynchronous wave: no global barrier between removals.
         rt.for_each(
             OpEvent(kind="for_each", label="ktruss_wave",
@@ -106,10 +92,11 @@ def ktruss(graph: Graph, k: int, max_rounds: int = 100000):
             streams=[rt.strided(csr.nbytes, wave_work),
                      rt.rand(supports.nbytes, wave_work, elem_bytes=8)],
         )
-        if freshly_doomed:
-            doomed = dedup_bounded(
-                np.asarray(freshly_doomed, dtype=np.int64), csr.nvals)
-            doomed = doomed[alive[doomed]]
-        else:
-            doomed = np.empty(0, dtype=np.int64)
+        # Decrement both orientations once per destroyed triangle; edges
+        # that fall below k-2 form the next wave.
+        hit, dec = np.unique(np.minimum(survivors, twin[survivors]),
+                             return_counts=True)
+        supports[hit] -= dec
+        supports[twin[hit]] -= dec
+        doomed = hit[supports[hit] < needed]
     return alive, rounds

@@ -23,7 +23,6 @@ from repro.sparse.csr import CSRMatrix, build_csr, expand_ranges, gather_rows
 from repro.sparse.join import (
     JoinResult,
     dedup_bounded,
-    join_sorted,
     masked_row_join,
     row_pair_join,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "gather_rows",
     "group_reduce",
     "identity_for",
-    "join_sorted",
     "masked_row_join",
     "row_pair_join",
     "row_slice",

@@ -36,7 +36,7 @@ Lonestar frontiers' O(n log n) sort-based ``np.unique``.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -315,23 +315,6 @@ def masked_row_join(
     return row_pair_join(A, mask.row_ids(),
                          Bt, mask.indices.astype(np.int64),
                          batch_flops=batch_flops, plan=plan)
-
-
-def join_sorted(a: np.ndarray,
-                b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Positions of the common elements of two sorted arrays.
-
-    Returns ``(ia, ib)`` with ``a[ia] == b[ib]``, ordered by position in
-    ``a`` — the single-pair primitive for call sites (the ktruss removal
-    cascade) whose sequential dependences forbid batching pairs.
-    """
-    if len(a) == 0 or len(b) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    pos = np.searchsorted(b, a)
-    pos = np.minimum(pos, len(b) - 1)
-    matched = b[pos] == a
-    return np.flatnonzero(matched), pos[matched]
 
 
 def dedup_bounded(ids: np.ndarray, bound: int) -> np.ndarray:

@@ -11,12 +11,17 @@ behaviour, which is the paper's limitation #2:
 
 :func:`edge_supports` computes per-edge common-neighbor counts restricted
 to a set of rows and an aliveness filter, which is what the Gauss-Seidel
-Lonestar ktruss needs.
+Lonestar ktruss needs for its initial pass.  :func:`destroyed_triangle_edges`
+is the incremental companion both ktruss drivers use afterwards: given the
+edges deleted in one round or wave, it finds the triangles they destroy
+and reports the surviving edges whose support drops.
 
-Both kernels are one call into the batched merge-join engine
-(:mod:`repro.sparse.join`) — no per-row Python loop — and report the same
-work/row_work counts the per-row loops they replaced did, so the machine
-model sees identical numbers.
+Every kernel is one call into the batched merge-join engine
+(:mod:`repro.sparse.join`) — no per-row Python loop.  The two counting
+kernels report the same work/row_work counts the per-row loops they
+replaced did, so the machine model sees identical numbers; the ktruss
+drivers derive their modeled counts from structure, never from
+:func:`destroyed_triangle_edges`.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ def edge_supports(
     csr: CSRMatrix,
     alive: np.ndarray,
     rows: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, int]:
+) -> Tuple[np.ndarray, int, np.ndarray]:
     """Common-neighbor count per (alive) edge of the given rows.
 
     ``alive`` is a boolean over csr entries; dead entries neither receive a
@@ -89,6 +94,53 @@ def edge_supports(
     row_work = segment_reduce(res.cand, pair_row, len(row_arr), "plus",
                               dtype=np.int64, sorted_ids=True)
     return supports, res.work, row_work
+
+
+def destroyed_triangle_edges(
+    csr: CSRMatrix,
+    removed: np.ndarray,
+    twin: np.ndarray,
+    alive: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Surviving edges of the triangles a batch of edge deletions destroys.
+
+    ``csr`` is a symmetric pattern, ``removed`` the sorted canonical
+    (row < col) entry positions of the edges deleted together in one round
+    or wave, ``twin`` its :func:`twin_positions`, and ``alive`` the entry
+    aliveness *before* the deletion (None: every entry).
+
+    A triangle whose three edges were alive is destroyed when at least one
+    of them is deleted.  It belongs to its lowest-position deleted edge, so
+    it is reported once however many of its edges go.  This is exactly the
+    order an in-order sequential wave with immediately visible deletions
+    enumerates triangles in: the first of a triangle's deleted edges finds
+    it intact and every later one finds it broken.
+
+    Returns, for every destroyed triangle, the entry positions of its edges
+    that survive the deletion (zero to two per triangle).  A deleted edge
+    (u, v) reports the survivor (u, w) from row u and (v, w) from row v;
+    callers reach the reverse orientation through ``twin``.
+    """
+    removed = np.asarray(removed, dtype=np.int64)
+    if len(removed) == 0:
+        return np.empty(0, dtype=np.int64)
+    # One pair per deleted edge (u, v): the common live neighbors w of u
+    # and v close the triangles (u, v, w) the deletion destroys.
+    res = row_pair_join(csr, csr.row_ids()[removed],
+                        csr, csr.indices[removed].astype(np.int64),
+                        a_keep=alive, b_keep=alive)
+    # owner[q]: the canonical position of q's edge if it is deleted, else
+    # nvals, which is above every deleted position.
+    none = csr.nvals
+    owner = np.full(csr.nvals, none, dtype=np.int64)
+    owner[removed] = removed
+    owner[twin[removed]] = removed
+    p = removed[res.out_seg]
+    own_a = owner[res.a_pos]
+    own_b = owner[res.b_pos]
+    first = (own_a > p) & (own_b > p)
+    return np.concatenate((res.a_pos[first & (own_a == none)],
+                           res.b_pos[first & (own_b == none)]))
 
 
 def twin_positions(csr: CSRMatrix) -> np.ndarray:

@@ -12,7 +12,7 @@ Three layers:
   row) and an AST lint pinning the per-row loops out of the rewired
   kernels.
 * Equivalence of the loop-free call sites (``coo_group_reduce`` both
-  plans, ``dedup_bounded`` both branches, ``join_sorted``).
+  plans, ``dedup_bounded`` both branches).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.sparse.csr import build_csr, expand_ranges
 from repro.sparse.join import (
     CAST_COUNTS,
     dedup_bounded,
-    join_sorted,
     masked_row_join,
     naive_row_pair_join,
     row_pair_join,
@@ -175,22 +174,6 @@ class TestMaskedRowJoin:
         want = naive_row_pair_join(L, L.row_ids(),
                                    L, L.indices.astype(np.int64))
         assert_results_equal(res, want)
-
-
-class TestJoinSorted:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_intersect1d(self, seed):
-        rng = np.random.default_rng(seed)
-        a = np.unique(rng.integers(0, 50, rng.integers(0, 30)))
-        b = np.unique(rng.integers(0, 50, rng.integers(0, 30)))
-        ia, ib = join_sorted(a, b)
-        common = np.intersect1d(a, b)
-        assert np.array_equal(a[ia], common)
-        assert np.array_equal(b[ib], common)
-
-    def test_empty(self):
-        ia, ib = join_sorted(np.empty(0, np.int64), np.array([1, 2]))
-        assert len(ia) == 0 and len(ib) == 0
 
 
 class TestDedupBounded:
